@@ -88,11 +88,13 @@ def check_regressions(
 ) -> int:
     """Compare a fresh record against the committed reference.
 
-    Returns the number of regressions: benchmarks slower than ``factor`` times
-    the reference.  Benchmarks faster than ``noise_floor_s`` in the reference
-    are skipped (timer noise dominates there), as are nodeids missing from
-    either file.  Hardware differences between the reference machine and CI
-    are expected to stay well inside the 2x default factor.
+    Returns the number of failures: benchmarks slower than ``factor`` times
+    the reference, or 1 when no benchmark could be compared at all.
+    Benchmarks faster than ``noise_floor_s`` in the reference are skipped
+    (timer noise dominates there), as are nodeids missing from either file —
+    which is why comparing nothing fails: a renamed benchmark must not turn
+    its own gate off.  Hardware differences between the reference machine and
+    CI are expected to stay well inside the 2x default factor.
     """
     with open(reference_path) as handle:
         reference = json.load(handle).get("benchmarks", {})
@@ -117,6 +119,12 @@ def check_regressions(
                 f"reference {reference_time:.4f}s ({ratio:.2f}x > {factor}x)"
             )
     print(f"regression check: {compared} benchmarks compared, {regressions} regressed")
+    if compared == 0:
+        print(
+            f"REGRESSION CHECK EMPTY: no benchmark of {fresh_path} matches a "
+            f"timed benchmark of {reference_path}"
+        )
+        return 1
     return regressions
 
 

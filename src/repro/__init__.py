@@ -17,8 +17,9 @@ Quick start::
 
 The main layers are:
 
-* :mod:`repro.kb` — the knowledge-base substrate (labelled graph, schema,
-  relational view used by the SQL-style distributional computation);
+* :mod:`repro.kb` — the knowledge-base substrate: the mutable labelled graph
+  and schema that writes build, and the one read model every algorithm runs
+  on — the array-backed compiled view, compiled on first read;
 * :mod:`repro.core` — patterns, instances, explanations and their structural
   properties (minimality, covering path sets);
 * :mod:`repro.enumeration` — NaiveEnum, path enumeration and path union;
@@ -115,6 +116,8 @@ class Rex:
     Wraps a knowledge base and exposes the two operations a search engine
     would call: enumerate all minimal explanations for a pair, or directly ask
     for the top-k most interesting explanations under a chosen measure.
+    Reads run on the compiled view of ``kb``: a mutable knowledge base is
+    compiled on the first read and again on the first read after a write.
 
     Example:
         >>> rex = Rex(paper_example_kb())

@@ -1,5 +1,10 @@
-"""Knowledge-base substrate: labelled graph, schema, relational view,
-durable store and compiled-plane checkpoints."""
+"""Knowledge-base substrate.
+
+The mutable labelled graph (:class:`KnowledgeBase`) and its schema are the
+write model.  Every read runs on one model, the array-backed
+:class:`CompiledKB`, which :func:`compile_kb` builds on first read and caches
+per KB version.  Also here: the durable store and compiled-plane
+checkpoints."""
 
 from repro.kb.checkpoint import checkpoint_info, load_checkpoint, save_checkpoint
 from repro.kb.compiled import CompiledKB, compile_kb

@@ -1,11 +1,11 @@
-"""A compiled, array-backed view of a frozen knowledge base (CSR planes).
+"""The read model: a compiled, array-backed view of a knowledge base (CSR planes).
 
 The dict-of-interned-strings :class:`~repro.kb.graph.KnowledgeBase` is the
-right substrate for *building* a knowledge base incrementally, but the hot
-loops of pattern enumeration and the distributional sweeps pay for its
-flexibility on every expansion: a string-keyed dict probe plus a
+right substrate for *building* a knowledge base incrementally, but reading
+through it would cost the hot loops of pattern enumeration and the
+distributional sweeps a string-keyed dict probe plus a
 ``(label, orientation)`` tuple allocation per index lookup, and worker
-replicas are rebuilt edge-by-edge through ``add_edge``.  In the style of
+replicas would be rebuilt edge-by-edge through ``add_edge``.  In the style of
 D4M's associative arrays and factorised-database storage, :class:`CompiledKB`
 freezes a knowledge base at one :attr:`~repro.kb.graph.KnowledgeBase.version`
 into contiguous integer arrays:
@@ -28,12 +28,15 @@ into contiguous integer arrays:
   answering ``has_edge`` without tuple allocation.
 
 A compiled view is **read-only** (mutators raise) and carries the version it
-was compiled at; the serving engine caches one per KB version.  It duck-types
-the whole read API of :class:`~repro.kb.graph.KnowledgeBase` — decoding
-handles back to strings at those API boundaries — so every algorithm in the
-repository accepts either backend, while the hot paths in
+was compiled at.  It is the only read model: the read functions of
 :mod:`repro.kb.sql`, :mod:`repro.core.matcher` and :mod:`repro.enumeration`
-detect a compiled view and run on integer handles end to end.
+call :func:`compile_kb` at their boundary and run on integer handles end to
+end.  :func:`compile_kb` passes a compiled view through and compiles a
+mutable KB on first read, caching the view on the KB per version; the
+serving engine keeps its own per-version compiles and hands those in.  The
+view also duck-types the whole read API of
+:class:`~repro.kb.graph.KnowledgeBase`, decoding handles back to strings at
+those API boundaries.
 
 :meth:`CompiledKB.to_buffers` / :meth:`CompiledKB.from_buffers` round-trip
 the arrays as ``tobytes()`` blobs, which is what snapshot payload format 2
@@ -1384,6 +1387,20 @@ def extend_compiled(prev: CompiledKB, kb: KnowledgeBase) -> OverlayCompiledKB:
     )
 
 
-def compile_kb(kb: KnowledgeBase) -> CompiledKB:
-    """Compile ``kb`` into its array-backed read-only view (idempotent)."""
-    return CompiledKB.compile(kb)
+def compile_kb(kb: KnowledgeBase | CompiledKB) -> CompiledKB:
+    """The compiled view every read runs on.
+
+    A :class:`CompiledKB` (overlays included) is returned as is.  A mutable
+    :class:`~repro.kb.graph.KnowledgeBase` is compiled on first read and the
+    view is cached on the KB for its current
+    :attr:`~repro.kb.graph.KnowledgeBase.version`: one entry, rebuilt on the
+    first read after a mutation bumps the version.  No lock: threads racing
+    on a first read may each compile, and every view they store is correct
+    for the version it carries.
+    """
+    if isinstance(kb, CompiledKB):
+        return kb
+    compiled = kb._compiled_view  # noqa: SLF001 - cache owned by this helper
+    if compiled is None or compiled.version != kb.version:
+        compiled = kb._compiled_view = CompiledKB.compile(kb)  # noqa: SLF001
+    return compiled

@@ -137,6 +137,8 @@ class KnowledgeBase:
         #: Mutation counter; bumps on every added entity or edge so external
         #: caches keyed on ``(kb, kb.version)`` can detect staleness.
         self.version = 0
+        # the read view repro.kb.compiled.compile_kb keeps for ``version``
+        self._compiled_view = None
 
     # -- construction ------------------------------------------------------
 
@@ -480,6 +482,13 @@ class KnowledgeBase:
         for edge in self._edges:
             clone.add_edge(edge.source, edge.target, edge.label, edge.directed)
         return clone
+
+    def __getstate__(self) -> dict:
+        # the cached compiled view is derived (and holds a lock): rebuild it
+        # on the first read after unpickling instead of shipping it
+        state = dict(self.__dict__)
+        state["_compiled_view"] = None
+        return state
 
     def density(self) -> float:
         """Average degree; the paper notes density drives enumeration cost."""

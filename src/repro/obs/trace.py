@@ -371,7 +371,8 @@ class Tracer:
         sample_rate: fraction of requests to trace, clamped to ``[0, 1]``;
             ``None`` reads ``REX_TRACE_SAMPLE`` (default 0.01).  Sampling is
             deterministic 1-in-N (``N = round(1 / rate)``) so benchmarks and
-            tests are reproducible without seeding.
+            tests are reproducible without seeding; :attr:`sample_rate`
+            reports the rate actually applied, ``1 / N``.
         capacity: finished traces to keep for ``/debug/traces``; ``None``
             reads ``REX_TRACE_BUFFER`` (default 256).
         max_spans: span cap per trace (further spans are counted, not kept).
@@ -390,8 +391,8 @@ class Tracer:
     ) -> None:
         if sample_rate is None:
             sample_rate = float(os.environ.get("REX_TRACE_SAMPLE", DEFAULT_SAMPLE_RATE))
-        self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
-        self._every = round(1.0 / self.sample_rate) if self.sample_rate > 0 else 0
+        rate = min(1.0, max(0.0, float(sample_rate)))
+        self._every = round(1.0 / rate) if rate > 0 else 0
         if capacity is None:
             capacity = int(os.environ.get("REX_TRACE_BUFFER", DEFAULT_BUFFER_CAPACITY))
         self.max_spans = max_spans
@@ -412,6 +413,15 @@ class Tracer:
         self._dropped_spans = 0
         self._phase_hist: dict[str, Any] = {}
         self._trace_hist: dict[str, Any] = {}
+
+    @property
+    def sample_rate(self) -> float:
+        """The fraction of requests actually traced: ``1 / N``, or 0.
+
+        Read-only: the sampling pattern is fixed at construction, so a
+        settable rate could only make ``/healthz`` misreport what is sampled.
+        """
+        return 1.0 / self._every if self._every else 0.0
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro import Rex
+from repro.datasets.paper_example import paper_example_kb
 from repro.errors import KnowledgeBaseError, UnknownEntityError
 from repro.kb.compiled import CompiledKB, compile_kb
 from repro.kb.graph import KnowledgeBase
@@ -184,3 +188,53 @@ class TestKernelSurface:
             assert all(row_set is not None for row_set in sets)
             for h in range(compiled.num_entities):
                 assert sets[h] == frozenset(rows[h])
+
+
+class TestReadCache:
+    """``compile_kb`` keeps one compiled view per mutable KB, per version."""
+
+    @staticmethod
+    def _small_kb() -> KnowledgeBase:
+        kb = KnowledgeBase()
+        kb.add_edge("troy", "brad_pitt", "starring")
+        kb.add_edge("troy", "orlando_bloom", "starring")
+        return kb
+
+    def test_view_is_reused_until_the_version_moves(self):
+        kb = self._small_kb()
+        view = compile_kb(kb)
+        assert compile_kb(kb) is view
+        assert view.version == kb.version
+        kb.add_edge("troy", "eric_bana", "starring")
+        fresh = compile_kb(kb)
+        assert fresh is not view
+        assert fresh.version == kb.version
+        assert fresh.has_entity("eric_bana")
+        assert compile_kb(kb) is fresh
+
+    def test_pickling_drops_the_cached_view(self):
+        kb = self._small_kb()
+        compile_kb(kb)
+        restored = pickle.loads(pickle.dumps(kb))
+        assert restored._compiled_view is None
+        assert [e.key() for e in restored.edges()] == [e.key() for e in kb.edges()]
+        assert compile_kb(restored).num_edges == kb.num_edges
+
+    def test_rex_on_a_mutable_kb_sees_edges_added_between_explains(self):
+        kb = paper_example_kb()
+        rex = Rex(kb, size_limit=4)
+        before = rex.explain("brad_pitt", "angelina_jolie", measure="size", k=100)
+        assert all(
+            edge.label != "engaged_to"
+            for ranked in before
+            for edge in ranked.explanation.pattern.edges
+        )
+        kb.add_edge("brad_pitt", "angelina_jolie", "engaged_to", directed=False)
+        after = rex.explain("brad_pitt", "angelina_jolie", measure="size", k=100)
+        new = [
+            ranked.explanation
+            for ranked in after
+            if any(edge.label == "engaged_to" for edge in ranked.explanation.pattern.edges)
+        ]
+        assert new, "explain did not see the edge added after the first read"
+        assert len(after) == len(before) + len(new)

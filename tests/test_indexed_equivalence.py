@@ -26,6 +26,7 @@ from repro.kb.sql import (
     iter_pattern_bindings,
     local_count_distribution,
     sweep_local_count_distributions,
+    sweep_position_count,
 )
 from repro.measures.distributional import Distribution, local_aggregate_distribution
 
@@ -313,6 +314,43 @@ class TestBatchedSweepEquivalence:
                 assert exact
                 assert qualifying == expected
                 assert bindings == sweep.bindings_enumerated
+
+    def test_position_count_matches_per_start_bindings(self, seed):
+        kb = random_kb(seed)
+        pattern = random_pattern(seed)
+        starts = list(kb.entities)
+        v_start, v_end = starts[0], starts[-1]
+        for own_count in (0.0, 1.0, 2.5):
+            expected_position = 0
+            expected_bindings = 0
+            for start in starts:
+                per_end: dict[str, int] = {}
+                for binding in iter_pattern_bindings(kb, pattern, {START: start}):
+                    expected_bindings += 1
+                    per_end[binding[END]] = per_end.get(binding[END], 0) + 1
+                for end, count in per_end.items():
+                    if end == start or (start == v_start and end == v_end):
+                        continue
+                    if count > own_count:
+                        expected_position += 1
+            assert sweep_position_count(
+                kb, pattern, starts, own_count, v_start, v_end
+            ) == (expected_position, expected_bindings)
+
+    def test_bounded_qualifying_counts_stop_past_the_bound(self, seed):
+        kb = random_kb(seed)
+        pattern = random_pattern(seed)
+        for v_start in kb.entities:
+            exact, _, bindings = count_qualifying_end_entities(kb, pattern, v_start, 0.0)
+            for bound in (0, 1, 2):
+                qualifying, is_exact, enumerated = count_qualifying_end_entities(
+                    kb, pattern, v_start, 0.0, bound=bound
+                )
+                if exact <= bound:
+                    assert (qualifying, is_exact, enumerated) == (exact, True, bindings)
+                else:
+                    assert (qualifying, is_exact) == (bound + 1, False)
+                    assert enumerated <= bindings
 
     def test_local_count_distribution_unpruned_matches_sweep(self, seed):
         kb = random_kb(seed)

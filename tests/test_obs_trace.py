@@ -47,6 +47,25 @@ class TestSampling:
         assert Tracer(sample_rate=7.5).sample_rate == 1.0
         assert Tracer(sample_rate=-1.0).sample_rate == 0.0
 
+    def test_rate_is_read_only(self):
+        tracer = Tracer(sample_rate=0.5)
+        with pytest.raises(AttributeError):
+            tracer.sample_rate = 1.0
+        assert tracer.sample_rate == 0.5
+
+    @pytest.mark.parametrize("requested", [1.0, 0.5, 0.3, 0.26, 0.01, 0.0])
+    def test_reported_rate_is_the_sampled_fraction(self, requested):
+        tracer = Tracer(sample_rate=requested)
+        requests = 600
+        sampled = 0
+        for _ in range(requests):
+            trace = tracer.maybe_start("op")
+            if trace is not None:
+                sampled += 1
+                tracer.finish(trace)
+        assert tracer.sample_rate == sampled / requests
+        assert tracer.snapshot()["sample_rate"] == tracer.sample_rate
+
     def test_nested_start_joins_enclosing_trace(self):
         tracer = Tracer(sample_rate=1.0)
         outer = tracer.maybe_start("outer")

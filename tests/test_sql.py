@@ -1,4 +1,4 @@
-"""Tests for pattern-to-SQL compilation and conjunctive evaluation."""
+"""Tests for the conjunctive evaluation of patterns (Section 5.3.2)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.core.matcher import count_matches
 from repro.core.pattern import END, START, ExplanationPattern, PatternEdge
 from repro.errors import RelationalError
 from repro.kb.sql import (
-    compile_pattern_sql,
     iter_pattern_bindings,
     local_count_distribution,
     pattern_bindings,
@@ -19,41 +18,6 @@ def costar() -> ExplanationPattern:
     return ExplanationPattern.from_edges(
         [PatternEdge("?v0", START, "starring"), PatternEdge("?v0", END, "starring")]
     )
-
-
-class TestCompilePatternSQL:
-    def test_costar_sql_shape(self):
-        compiled = compile_pattern_sql(costar(), "brad_pitt", count_threshold=1)
-        assert "FROM R AS R1, R AS R2" in compiled.text
-        assert "rel = 'starring'" in compiled.text
-        assert "HAVING count > 1" in compiled.text
-        assert "= 'brad_pitt'" in compiled.text
-        assert compiled.table_aliases == ("R1", "R2")
-
-    def test_limit_clause(self):
-        compiled = compile_pattern_sql(costar(), "brad_pitt", count_threshold=0, limit=7)
-        assert compiled.text.rstrip().endswith("LIMIT 7")
-
-    def test_one_alias_per_edge(self):
-        pattern = ExplanationPattern.from_edges(
-            [
-                PatternEdge("?v0", START, "starring"),
-                PatternEdge("?v0", END, "starring"),
-                PatternEdge("?v0", "?v1", "director"),
-                PatternEdge("?v1", END, "award_won"),
-            ]
-        )
-        compiled = compile_pattern_sql(pattern, "x", count_threshold=0)
-        assert len(compiled.table_aliases) == 4
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(RelationalError):
-            compile_pattern_sql(ExplanationPattern.from_edges([]), "x", 0)
-
-    def test_pattern_without_end_rejected(self):
-        pattern = ExplanationPattern.from_edges([PatternEdge(START, "?v0", "starring")])
-        with pytest.raises(RelationalError):
-            compile_pattern_sql(pattern, "x", 0)
 
 
 class TestPatternBindings:
